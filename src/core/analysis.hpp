@@ -244,8 +244,8 @@ ReportFormat report_format_from_string(const std::string& name);
 
 /// One rendered table line (trailing newline included): a markdown pipe
 /// row or a CSV record with RFC-4180 quoting.  The single table renderer
-/// shared by every tabular surface (dring_report, dring_metrics,
-/// dring_dashboard) — Json callers build documents instead.
+/// shared by every tabular surface (dring_report, dring_metrics) — Json
+/// callers build documents instead.
 std::string render_cells(const std::vector<std::string>& cells,
                          ReportFormat format);
 

@@ -16,6 +16,7 @@
 #include "core/query.hpp"
 #include "core/telemetry.hpp"
 #include "core/version.hpp"
+#include "util/fingerprint.hpp"
 
 namespace dring::core {
 
@@ -121,7 +122,7 @@ CampaignRow campaign_row_from_json(const util::Json& j) {
         " (re-run the campaign/artifact with this build to regenerate the "
         "store)");
   CampaignRow row;
-  row.fingerprint = std::stoull(j.at("fp").as_string(), nullptr, 0);
+  row.fingerprint = util::parse_hex_u64(j.at("fp").as_string());
   row.spec = scenario_spec_from_json(j.at("spec"));
   const util::Json& r = j.at("result");
   row.outcome.explored = r.get_bool("explored", false);

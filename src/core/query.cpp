@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "core/telemetry.hpp"
+#include "util/fingerprint.hpp"
 
 namespace dring::core {
 
@@ -500,7 +501,7 @@ util::Json dispatch(const ResultCache& cache, const util::Json& request,
   if (op == "point") {
     std::uint64_t fp = 0;
     if (request.has("fp"))
-      fp = std::stoull(request.at("fp").as_string(), nullptr, 16);
+      fp = util::parse_hex_u64(request.at("fp").as_string());
     else if (request.has("spec"))
       fp = fingerprint(scenario_spec_from_json(request.at("spec")));
     else

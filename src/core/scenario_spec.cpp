@@ -1,11 +1,13 @@
 #include "core/scenario_spec.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <stdexcept>
 
 #include "adversary/basic_adversaries.hpp"
 #include "adversary/proof_adversaries.hpp"
 #include "adversary/t_interval.hpp"
+#include "util/fingerprint.hpp"
 
 namespace dring::core {
 
@@ -19,21 +21,17 @@ sim::Model model_from_string(const std::string& s) {
   throw std::invalid_argument("unknown model: " + s);
 }
 
+/// Strict: "0x..." hex or plain decimal digits, nothing else.
 std::uint64_t parse_u64(const util::Json& j) {
-  if (j.is_string()) {
-    const std::string& s = j.as_string();
-    return std::stoull(s, nullptr, 0);  // accepts 0x... and decimal
-  }
-  return static_cast<std::uint64_t>(j.as_int());
-}
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
+  if (!j.is_string()) return static_cast<std::uint64_t>(j.as_int());
+  const std::string& s = j.as_string();
+  if (s.size() >= 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X'))
+    return util::parse_hex_u64(s);
+  std::uint64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+  if (s.empty() || ec != std::errc() || ptr != s.data() + s.size())
+    throw std::invalid_argument("invalid u64: \"" + s + "\"");
+  return value;
 }
 
 }  // namespace
@@ -188,7 +186,7 @@ ScenarioTask to_task(const ScenarioSpec& spec) {
 // --- identity ------------------------------------------------------------------
 
 std::uint64_t fingerprint(const ScenarioSpec& spec) {
-  return fnv1a(to_json(spec).dump());
+  return util::fnv1a(to_json(spec).dump());
 }
 
 // --- JSON ----------------------------------------------------------------------

@@ -188,9 +188,8 @@ std::string render_metrics_summary(const util::Json& metrics,
                                        ReportFormat::Markdown);
 
 /// Render the BENCH_engine.json perf trajectory (baseline vs current vs
-/// speedup, plus the rebaseline `history` eras when present) — the data
-/// spine of the trend dashboard (core/archive.hpp).  Markdown is the
-/// trend table (+ a history section); Csv is one flat
+/// speedup, plus the rebaseline `history` eras when present).  Markdown is
+/// the trend table (+ a history section); Csv is one flat
 /// (benchmark, era, real_time_ns, items_per_second, speedup) table.
 std::string render_bench_trend(const util::Json& bench,
                                ReportFormat format = ReportFormat::Markdown);

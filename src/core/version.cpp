@@ -2,18 +2,11 @@
 
 #include <cstdio>
 
+#include "util/fingerprint.hpp"
+
 namespace dring::core {
 
 namespace {
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 /// One string describing everything about this build that could make two
 /// binaries of the same source behave or perform differently.
@@ -44,7 +37,7 @@ std::string engine_version() {
 }
 
 std::uint64_t build_flags_fingerprint() {
-  static const std::uint64_t kHash = fnv1a(build_identity());
+  static const std::uint64_t kHash = util::fnv1a(build_identity());
   return kHash;
 }
 

@@ -5,6 +5,8 @@
 #include <memory>
 #include <string>
 
+#include "util/fingerprint.hpp"
+
 namespace dring::sim {
 
 void write_trace_csv(const std::vector<RoundTrace>& trace, std::ostream& os) {
@@ -24,13 +26,7 @@ void write_trace_csv(const std::vector<RoundTrace>& trace, std::ostream& os) {
 
 namespace {
 
-struct Fnv1a {
-  std::uint64_t h = 1469598103934665603ULL;
-
-  void byte(std::uint8_t b) {
-    h ^= b;
-    h *= 1099511628211ULL;
-  }
+struct TraceHasher : util::Fnv1a {
   void u64(std::uint64_t v) {
     for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
   }
@@ -38,14 +34,14 @@ struct Fnv1a {
   void boolean(bool b) { byte(b ? 1 : 0); }
   void str(const std::string& s) {
     u64(s.size());
-    for (char c : s) byte(static_cast<std::uint8_t>(c));
+    bytes(s);
   }
 };
 
 }  // namespace
 
 std::uint64_t trace_digest(const std::vector<RoundTrace>& trace) {
-  Fnv1a d;
+  TraceHasher d;
   d.u64(trace.size());
   for (const RoundTrace& rt : trace) {
     d.i64(rt.round);
@@ -70,7 +66,7 @@ std::uint64_t trace_digest(const std::vector<RoundTrace>& trace) {
 }
 
 std::uint64_t result_digest(const RunResult& r) {
-  Fnv1a d;
+  TraceHasher d;
   d.boolean(r.explored);
   d.i64(r.explored_round);
   d.i64(r.rounds);

@@ -186,7 +186,20 @@ class Parser {
     }
   }
 
+  /// Bounds the recursion of parse_object/parse_array so a deeply nested
+  /// line fails with a parse error instead of overflowing the stack.
+  /// Scalars never touch it.
+  struct NestingGuard {
+    explicit NestingGuard(Parser& p) : parser(p) {
+      if (++parser.depth_ > Json::kMaxDepth)
+        parser.fail("nesting deeper than " + std::to_string(Json::kMaxDepth));
+    }
+    ~NestingGuard() { --parser.depth_; }
+    Parser& parser;
+  };
+
   Json parse_object() {
+    const NestingGuard guard(*this);
     expect('{');
     Json::Object obj;
     skip_ws();
@@ -215,6 +228,7 @@ class Parser {
   }
 
   Json parse_array() {
+    const NestingGuard guard(*this);
     expect('[');
     Json::Array arr;
     skip_ws();
@@ -337,6 +351,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

@@ -9,7 +9,8 @@
 //     a requirement for stable scenario fingerprints and diffable stores;
 //   * integers that fit in 64 bits round-trip exactly (doubles are only
 //     used for values written with a fraction/exponent);
-//   * parse errors throw std::invalid_argument with a byte offset.
+//   * parse errors throw std::invalid_argument with a byte offset, and so
+//     does nesting deeper than Json::kMaxDepth arrays/objects.
 #pragma once
 
 #include <cstdint>
@@ -104,6 +105,9 @@ class Json {
   /// Compact canonical dump: no whitespace, object keys in sorted order,
   /// integers without exponent. Two equal values always dump identically.
   std::string dump() const;
+
+  /// Deepest array/object nesting parse() accepts.
+  static constexpr std::size_t kMaxDepth = 256;
 
   /// Strict parse of a complete JSON document.
   /// Throws std::invalid_argument on any syntax error or trailing garbage.

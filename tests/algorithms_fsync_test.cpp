@@ -31,10 +31,15 @@ void expect_clean(const sim::RunResult& r, const std::string& context) {
 // KnownNNoChirality (Theorem 3)
 // ---------------------------------------------------------------------------
 
+// Parameter structs stay padding-free (the static_asserts pin it): gtest
+// prints an unprintable parameter's raw bytes into its test id, and padding
+// bytes are indeterminate, so a padded struct yields ids that change from
+// one build or run to the next.  Fields are widened to fill the gaps.
 struct KnownNCase {
-  NodeId n;
+  std::int64_t n;
   std::uint64_t seed;
 };
+static_assert(sizeof(KnownNCase) == 16);
 
 class KnownNSweep : public ::testing::TestWithParam<KnownNCase> {};
 
@@ -149,10 +154,11 @@ TEST(KnownN, NeverFasterThanNMinus1OnStaticRing) {
 // ---------------------------------------------------------------------------
 
 struct UnconsciousCase {
-  NodeId n;
+  std::int64_t n;
   std::uint64_t seed;
-  bool mirrored;
+  std::uint64_t mirrored;  // 0 or 1
 };
+static_assert(sizeof(UnconsciousCase) == 24);
 
 class UnconsciousSweep : public ::testing::TestWithParam<UnconsciousCase> {};
 
@@ -207,9 +213,10 @@ TEST(Unconscious, SurvivesPerpetualBlockingOfOneAgent) {
 struct LandmarkCase {
   NodeId n;
   NodeId start_a;
-  NodeId start_b;
+  std::int64_t start_b;
   std::uint64_t seed;
 };
+static_assert(sizeof(LandmarkCase) == 24);
 
 class LandmarkChiralitySweep
     : public ::testing::TestWithParam<LandmarkCase> {};
@@ -217,7 +224,7 @@ class LandmarkChiralitySweep
 TEST_P(LandmarkChiralitySweep, ExploresAndBothTerminate) {
   const auto [n, sa, sb, seed] = GetParam();
   ExplorationConfig cfg = default_config(AlgorithmId::LandmarkWithChirality, n);
-  cfg.start_nodes = {sa, sb};
+  cfg.start_nodes = {sa, static_cast<NodeId>(sb)};
   cfg.stop.max_rounds = 2000 * n;  // far beyond the O(n) bound
 
   std::unique_ptr<sim::Adversary> adv;
@@ -279,9 +286,11 @@ TEST(LandmarkChirality, PerpetualBlockOfOneAgent) {
 
 struct NoChiralityCase {
   NodeId n;
-  bool mirrored;      // opposite orientations (the hard symmetric case)
-  std::uint64_t seed; // 0 = static ring
+  std::uint32_t mirrored;  // 0 or 1: opposite orientations (the hard
+                           // symmetric case)
+  std::uint64_t seed;      // 0 = static ring
 };
+static_assert(sizeof(NoChiralityCase) == 16);
 
 class StartFromLandmarkSweep
     : public ::testing::TestWithParam<NoChiralityCase> {};

@@ -26,11 +26,14 @@ void expect_clean_partial(const sim::RunResult& r, const std::string& ctx) {
   EXPECT_GE(r.terminated_agents, 1) << ctx << ": nobody terminated";
 }
 
+// Padding-free, so the raw-byte test ids gtest prints are deterministic
+// (see algorithms_fsync_test.cpp).
 struct SsyncCase {
-  NodeId n;
+  std::int64_t n;
   std::uint64_t seed;
   double act_p;  // activation probability
 };
+static_assert(sizeof(SsyncCase) == 24);
 
 // ---------------------------------------------------------------------------
 // PTBoundWithChirality (Theorem 12)

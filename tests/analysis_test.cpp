@@ -125,7 +125,7 @@ TEST(AnalysisAggregate, DegenerateGroupsStayWellDefined) {
   // Single sample: every order statistic is that sample, dispersion 0.
   std::vector<CampaignRow> single;
   single.push_back(fake_row("A", 8, 1, 1, true, 7, 9, 3));
-  const Aggregate& one =
+  const Aggregate one =
       aggregate_rows(single, {"algorithm"}, Metric::ExploredRound)[0].agg;
   EXPECT_EQ(one.samples, 1);
   EXPECT_DOUBLE_EQ(one.min, 7.0);
@@ -140,7 +140,7 @@ TEST(AnalysisAggregate, DegenerateGroupsStayWellDefined) {
   std::vector<CampaignRow> identical;
   for (std::uint64_t seed = 1; seed <= 3; ++seed)
     identical.push_back(fake_row("A", 8, 1, seed, true, 5, 9, 3));
-  const Aggregate& same =
+  const Aggregate same =
       aggregate_rows(identical, {"algorithm"}, Metric::ExploredRound)[0].agg;
   EXPECT_EQ(same.samples, 3);
   EXPECT_DOUBLE_EQ(same.median, 5.0);

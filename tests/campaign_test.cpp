@@ -93,6 +93,30 @@ TEST(Json, RejectsMalformedDocuments) {
   EXPECT_THROW(util::Json::parse("tru"), std::invalid_argument);
 }
 
+TEST(Json, NestingPastTheCapIsAParseErrorNotAStackOverflow) {
+  const auto nested = [](std::size_t depth, char open, char close) {
+    std::string s;
+    for (std::size_t i = 0; i < depth; ++i)
+      s += open == '{' ? std::string("{\"a\":") : std::string(1, open);
+    s += open == '{' ? "0" : "";
+    return s + std::string(depth, close);
+  };
+  const std::size_t cap = util::Json::kMaxDepth;
+  EXPECT_NO_THROW(util::Json::parse(nested(cap, '[', ']')));
+  EXPECT_NO_THROW(util::Json::parse(nested(cap, '{', '}')));
+  EXPECT_THROW(util::Json::parse(nested(cap + 1, '[', ']')),
+               std::invalid_argument);
+  EXPECT_THROW(util::Json::parse(nested(cap + 1, '{', '}')),
+               std::invalid_argument);
+  // The repro: one line of 200k '[' used to overflow the stack.
+  EXPECT_THROW(util::Json::parse(std::string(200000, '[')),
+               std::invalid_argument);
+  // Depth counts nesting, not the number of containers.
+  std::string wide = "[";
+  for (std::size_t i = 0; i < 4 * cap; ++i) wide += "[],";
+  EXPECT_NO_THROW(util::Json::parse(wide + "[]]"));
+}
+
 // --- ScenarioSpec --------------------------------------------------------------
 
 ScenarioSpec sample_spec() {
@@ -116,6 +140,22 @@ TEST(ScenarioSpec, JsonRoundTripPreservesIdentity) {
   EXPECT_EQ(to_json(back).dump(), to_json(spec).dump());
   EXPECT_EQ(fingerprint(back), fingerprint(spec));
   EXPECT_EQ(back.seed, spec.seed);  // 64-bit seeds survive via hex strings
+}
+
+TEST(ScenarioSpec, U64FieldsAreHexOrDecimalAndNothingElse) {
+  const auto seed_of = [](const std::string& text) {
+    util::Json j = to_json(sample_spec());
+    j.set("seed", text);
+    return scenario_spec_from_json(j).seed;
+  };
+  EXPECT_EQ(seed_of("0x10"), 16u);
+  EXPECT_EQ(seed_of("0XfF"), 255u);
+  EXPECT_EQ(seed_of("10"), 10u);
+  EXPECT_EQ(seed_of("18446744073709551615"), ~std::uint64_t{0});
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "0x", "0xzz", "1x",
+                          "0x12 ", "18446744073709551616",
+                          "0x10000000000000000"})
+    EXPECT_THROW(seed_of(bad), std::invalid_argument) << '"' << bad << '"';
 }
 
 TEST(ScenarioSpec, FingerprintSeparatesEveryAxis) {
@@ -340,6 +380,20 @@ TEST(CampaignStore, RowsCarryTheSchemaVersion) {
   const CampaignRow back =
       campaign_row_from_json(util::Json::parse(row_line(row)));
   EXPECT_EQ(row_line(back), row_line(row));
+}
+
+TEST(CampaignStore, MalformedRowFingerprintIsRejected) {
+  CampaignRow row;
+  row.spec = sample_spec();
+  row.fingerprint = fingerprint(row.spec);
+  const util::Json good = util::Json::parse(row_line(row));
+  EXPECT_EQ(campaign_row_from_json(good).fingerprint, row.fingerprint);
+  for (const char* bad : {"0xzz", "-1", "", "0x12 ", "+0x1"}) {
+    util::Json j = good;
+    j.set("fp", bad);
+    EXPECT_THROW(campaign_row_from_json(j), std::invalid_argument)
+        << '"' << bad << '"';
+  }
 }
 
 TEST(CampaignStore, MismatchedSchemaVersionIsRejected) {

@@ -29,13 +29,17 @@ namespace {
 
 using algo::AlgorithmId;
 
+// Padding-free, so the raw-byte dump at the end of each test id is
+// deterministic (see algorithms_fsync_test.cpp).
 struct Scenario {
   AlgorithmId algorithm;
   NodeId n;
-  int adversary_kind;  // 0 static, 1 fixed-edge, 2 random, 3 targeted,
-                       // 4 rotation (SSYNC only; static for FSYNC)
+  std::int64_t adversary_kind;  // 0 static, 1 fixed-edge, 2 random,
+                                // 3 targeted, 4 rotation (SSYNC only;
+                                // static for FSYNC)
   std::uint64_t seed;
 };
+static_assert(sizeof(Scenario) == 24);
 
 std::string scenario_name(const Scenario& s) {
   static const char* kAdversaries[] = {"static", "fixed", "random",

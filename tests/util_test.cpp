@@ -7,6 +7,7 @@
 
 #include "util/bitstring.hpp"
 #include "util/cli.hpp"
+#include "util/fingerprint.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -220,6 +221,24 @@ TEST(Table, FormatHelpers) {
   EXPECT_EQ(fmt_count(999), "999");
   EXPECT_EQ(fmt_count(1234567), "1,234,567");
   EXPECT_EQ(fmt_count(-1234), "-1,234");
+}
+
+TEST(Fingerprint, Fnv1aKeepsTheProjectBasis) {
+  // Basis 1469598103934665603 (not the standard 14695981039346656037):
+  // every committed fingerprint and golden digest depends on it.
+  EXPECT_EQ(fnv1a(""), 1469598103934665603ULL);
+  EXPECT_EQ(fnv1a("a"), (1469598103934665603ULL ^ 'a') * 1099511628211ULL);
+}
+
+TEST(Fingerprint, ParseHexU64IsStrict) {
+  EXPECT_EQ(parse_hex_u64("0x0000000000000010"), 16u);
+  EXPECT_EQ(parse_hex_u64("0XdeadBEEF"), 0xdeadbeefu);
+  EXPECT_EQ(parse_hex_u64("ff"), 255u);
+  EXPECT_EQ(parse_hex_u64("0xffffffffffffffff"), ~std::uint64_t{0});
+  for (const char* bad : {"", "0x", "-1", "+1", "0x-1", " 0x1", "0x1 ",
+                          "0xzz", "0x1g", "0x0x1", "0x10000000000000000"})
+    EXPECT_THROW(parse_hex_u64(bad), std::invalid_argument)
+        << '"' << bad << '"';
 }
 
 TEST(Cli, ParsesFlagsAndPositionals) {

@@ -19,7 +19,7 @@
 # discard the prior trajectory: the retired "current" marks are appended to
 # the "history" array (stamped with the engine version from
 # src/core/version.hpp and today's UTC date), which dring_metrics --bench
-# and the trend dashboard (dring_dashboard) render as rebaseline eras.
+# renders as rebaseline eras.
 #
 # --check turns the snapshot into a CI perf gate: measure, compare against
 # the committed "current" entries in BENCH_engine.json, and exit 1 if any

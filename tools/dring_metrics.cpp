@@ -3,7 +3,7 @@
 //
 //   dring_metrics --events run.jsonl.events.jsonl [--times]
 //   dring_metrics --metrics run.jsonl.metrics.json
-//   dring_metrics --bench BENCH_engine.json [--emit-archive FILE]
+//   dring_metrics --bench BENCH_engine.json
 //   any of the above with --format md|csv|json
 //
 // `--events` renders the orchestrator attempt timeline grouped by shard:
@@ -14,19 +14,15 @@
 // gate run.  `--metrics` summarizes a metrics snapshot (counters, gauges,
 // histogram means, derived rates such as the probe-memo hit rate).
 // `--bench` folds the committed BENCH_engine.json into a trend table
-// (including the rebaseline `history` eras) — the perf data spine of the
-// trend dashboard.  --format json re-emits the parsed document
-// canonically (sorted keys); --format csv renders one flat plot-ready
-// table through the shared render_cells renderer.  With --bench,
-// --emit-archive FILE writes the marks + rebaseline history as an
-// archive fragment `dring_dashboard --collect --perf FILE` consumes.
+// (including the rebaseline `history` eras).  --format json re-emits the
+// parsed document canonically (sorted keys); --format csv renders one
+// flat plot-ready table through the shared render_cells renderer.
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/archive.hpp"
 #include "core/telemetry.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
@@ -44,7 +40,7 @@ util::FlagTable flag_table() {
       .synopsis("dring_metrics --metrics FILE.metrics.json"
                 " [--format md|csv|json]")
       .synopsis("dring_metrics --bench BENCH_engine.json"
-                " [--format md|csv|json] [--emit-archive FILE]")
+                " [--format md|csv|json]")
       .flag("events", "FILE", "event log to render as a per-shard timeline")
       .flag("times", "", "include wall-clock stamps and span durations "
                          "(timing varies run to run; off by default so the "
@@ -52,10 +48,6 @@ util::FlagTable flag_table() {
       .flag("metrics", "FILE", "metrics snapshot to summarize")
       .flag("bench", "FILE", "perf snapshot (BENCH_engine.json) to render "
                              "as a trend table")
-      .flag("emit-archive", "FILE", "with --bench: also write the marks + "
-                                    "rebaseline history as an archive "
-                                    "fragment for dring_dashboard --collect "
-                                    "--perf")
       .flag("format", "F", "md (default), csv or json");
   core::add_log_flags(flags);
   flags.flag("help", "", "print this help")
@@ -103,10 +95,6 @@ int main(int argc, char** argv) {
               << flags.help_text();
     return 2;
   }
-  if (cli.has("emit-archive") && !cli.has("bench")) {
-    std::cerr << "dring_metrics: --emit-archive needs --bench\n";
-    return 2;
-  }
 
   try {
     if (cli.has("events")) {
@@ -132,18 +120,6 @@ int main(int argc, char** argv) {
         std::cout << core::render_metrics_summary(metrics, format);
     } else {
       const util::Json bench = read_json_file(cli.get("bench", ""));
-      if (cli.has("emit-archive")) {
-        const std::string path = cli.get("emit-archive", "");
-        std::ofstream out(path, std::ios::trunc);
-        if (!out) throw std::runtime_error("cannot write " + path);
-        out << core::archive_perf_json(
-                   core::perf_marks_from_bench(bench, "current"),
-                   core::bench_history_from_bench(bench))
-                   .dump()
-            << "\n";
-        core::log_line(core::LogLevel::kInfo,
-                       "wrote archive perf fragment " + path);
-      }
       if (format == core::ReportFormat::Json)
         std::cout << bench.dump() << "\n";
       else

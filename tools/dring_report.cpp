@@ -18,14 +18,12 @@
 // significance-test workflow for cross-commit or cross-axis drift.
 // Output is deterministic and byte-stable for a given row set, so reports
 // can be committed next to their campaign spec and diffed across commits.
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/analysis.hpp"
-#include "core/archive.hpp"
 #include "core/query.hpp"
 #include "core/telemetry.hpp"
 #include "util/cli.hpp"
@@ -54,10 +52,6 @@ util::FlagTable flag_table() {
       .flag("threshold", "P", "frontier success-rate threshold (default 0.5)")
       .flag("compare", "FILE", "paired comparison: B-side store "
                                "(repeatable), joined per fingerprint")
-      .flag("emit-archive", "FILE", "aggregate mode only: also write the "
-                                    "per-cell-group aggregates as an archive "
-                                    "fragment for dring_dashboard --collect "
-                                    "--cells")
       .flag("format", "F", "md (default), csv or json")
       .flag("via-cache", "", "route aggregate/frontier through the "
                              "in-memory query cache (core/query.hpp) "
@@ -119,12 +113,6 @@ int main(int argc, char** argv) {
     for (const std::string& key : split_keys(cli.get("group-by", "algorithm")))
       group_keys.push_back(core::canonical_axis(key));
 
-    if (cli.has("emit-archive") &&
-        (cli.has("compare") || cli.has("frontier"))) {
-      std::cerr << "dring_report: --emit-archive only applies to the "
-                   "aggregate (group-by) mode\n";
-      return 2;
-    }
     const bool via_cache = cli.get_bool("via-cache", false);
     if (via_cache && cli.has("compare")) {
       std::cerr << "dring_report: --via-cache applies to the aggregate and "
@@ -163,19 +151,6 @@ int main(int argc, char** argv) {
           cache ? cache->aggregate(group_keys, metric)
                 : core::aggregate_rows(rows, group_keys, metric),
           group_keys, metric, format);
-      if (cli.has("emit-archive")) {
-        // The archive tracks success rates + rounds-to-explored per cell
-        // group regardless of the report's display metric.
-        const std::string path = cli.get("emit-archive", "");
-        std::ofstream out(path, std::ios::trunc);
-        if (!out) throw std::runtime_error("cannot write " + path);
-        out << core::archive_cells_json(
-                   core::archive_cells(rows, group_keys), group_keys)
-                   .dump()
-            << "\n";
-        core::log_line(core::LogLevel::kInfo,
-                       "wrote archive cells fragment " + path);
-      }
     }
     std::cout << report;
   } catch (const std::exception& e) {
