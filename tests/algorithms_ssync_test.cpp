@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "adversary/basic_adversaries.hpp"
 #include "adversary/proof_adversaries.hpp"
@@ -34,6 +35,15 @@ struct SsyncCase {
   double act_p;  // activation probability
 };
 static_assert(sizeof(SsyncCase) == 24);
+
+// Id suffix "n<N>_seed<S>" for the two PT chirality suites.  Their suite
+// and test names are long, so the byte-dump id shows only n within its
+// first 100 characters, where test reports often cut a name, and two
+// cases with the same ring size would read as one test.
+std::string ssync_case_name(const ::testing::TestParamInfo<SsyncCase>& info) {
+  return "n" + std::to_string(info.param.n) + "_seed" +
+         std::to_string(info.param.seed);
+}
 
 // ---------------------------------------------------------------------------
 // PTBoundWithChirality (Theorem 12)
@@ -66,7 +76,8 @@ INSTANTIATE_TEST_SUITE_P(
                       SsyncCase{6, 3, 0.6}, SsyncCase{8, 4, 0.8},
                       SsyncCase{8, 5, 0.4}, SsyncCase{11, 6, 0.6},
                       SsyncCase{16, 7, 0.7}, SsyncCase{16, 8, 0.3},
-                      SsyncCase{23, 9, 0.5}));
+                      SsyncCase{23, 9, 0.5}),
+    ssync_case_name);
 
 TEST(PTBoundChirality, LooseBoundStillWorks) {
   for (NodeId n : {5, 9}) {
@@ -109,7 +120,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(SsyncCase{4, 0, 1.0}, SsyncCase{5, 1, 0.6},
                       SsyncCase{6, 2, 0.8}, SsyncCase{8, 0, 1.0},
                       SsyncCase{8, 3, 0.5}, SsyncCase{11, 4, 0.7},
-                      SsyncCase{16, 5, 0.4}, SsyncCase{23, 6, 0.6}));
+                      SsyncCase{16, 5, 0.4}, SsyncCase{23, 6, 0.6}),
+    ssync_case_name);
 
 // ---------------------------------------------------------------------------
 // PTBoundNoChirality / PTLandmarkNoChirality (Theorems 16 and 17)
