@@ -6,7 +6,9 @@
 //   ./feasibility_map [--seeds=5] [--sizes=4,5,6,8,11,16] [--threads=N]
 //
 // --threads=0 (default) uses every hardware thread; the emitted rows are
-// bit-identical for any thread count.
+// bit-identical for any thread count.  A --sizes token that is not an
+// integer >= 3 is a usage error (exit 2).
+#include <charconv>
 #include <iostream>
 #include <sstream>
 
@@ -25,8 +27,22 @@ int main(int argc, char** argv) {
     sweep.sizes.clear();
     std::stringstream ss(cli.get("sizes", ""));
     std::string token;
-    while (std::getline(ss, token, ','))
-      sweep.sizes.push_back(static_cast<NodeId>(std::stoi(token)));
+    while (std::getline(ss, token, ',')) {
+      int n = 0;
+      const auto [end, ec] =
+          std::from_chars(token.data(), token.data() + token.size(), n);
+      if (token.empty() || ec != std::errc() ||
+          end != token.data() + token.size() || n < 3) {
+        std::cerr << "feasibility_map: bad --sizes token '" << token
+                  << "' (want comma-separated ring sizes, each >= 3)\n";
+        return 2;
+      }
+      sweep.sizes.push_back(static_cast<NodeId>(n));
+    }
+    if (sweep.sizes.empty()) {
+      std::cerr << "feasibility_map: --sizes names no ring size\n";
+      return 2;
+    }
   }
 
   core::SweepOptions pool;

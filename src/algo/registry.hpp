@@ -41,6 +41,11 @@ struct AlgorithmInfo {
   bool needs_chirality;      ///< requires common chirality
   bool terminating;          ///< false for unconscious protocols
   std::string complexity;    ///< paper-claimed cost
+  /// The brain reads the scenario seed (a randomized protocol).  Every
+  /// paper algorithm is deterministic, so all registry entries say false;
+  /// campaigns replay one run for all seeds of a cell unless this or the
+  /// adversary family's flag is set (core/scenario_spec.hpp).
+  bool uses_seed = false;
 };
 
 /// All registered algorithms.

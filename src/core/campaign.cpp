@@ -331,6 +331,85 @@ void write_result_store(const std::string& path,
   write_result_store(path, std::move(store));
 }
 
+namespace {
+
+/// Execute cells on the pool, one run per behaviour.  `cells` index into
+/// `specs`, `fingerprints[p]` belongs to cell p, and `rep[p]` is the
+/// position of p's representative (rep[p] == p: run it; see
+/// behaviour_representatives).  Every other cell copies its
+/// representative's outcome, so rows, hooks and progress all count cells:
+/// `on_row` fires once per cell, `on_cells_done` reports (cells done,
+/// cells total) after each run, and kept rows come back in cell order.
+std::vector<CampaignRow> run_cells(
+    const std::vector<ScenarioSpec>& specs,
+    const std::vector<std::size_t>& cells,
+    const std::vector<std::uint64_t>& fingerprints,
+    const std::vector<std::size_t>& rep, int threads,
+    const std::function<void(const CampaignRow&)>& on_row, bool keep_rows,
+    const std::function<void(std::size_t, std::size_t)>& on_cells_done,
+    int batch_width) {
+  // Task t runs representative first[t]; the cells sharing its run follow
+  // it as a list in cell order (next[p], kEnd-terminated; last[r] is the
+  // tail of representative r's list while it is built).
+  constexpr std::size_t kEnd = static_cast<std::size_t>(-1);
+  std::vector<ScenarioTask> tasks;
+  std::vector<std::size_t> first;
+  std::vector<std::size_t> next(cells.size(), kEnd), last(cells.size());
+  for (std::size_t p = 0; p < cells.size(); ++p) {
+    if (rep[p] == p) {
+      tasks.push_back(to_task(specs[cells[p]]));
+      first.push_back(p);
+    } else {
+      next[last[rep[p]]] = p;
+    }
+    last[rep[p]] = p;
+  }
+
+  // Each RunResult is reduced to its outcome at task completion and
+  // dropped.  With `on_row` the rows are built and handed over right
+  // there, so a streamed run's memory stays O(workers), not O(cells);
+  // otherwise they are built after the sweep, on the calling thread that
+  // goes on to write the store.
+  const bool streaming = static_cast<bool>(on_row);
+  std::vector<CampaignRow> rows(keep_rows ? cells.size() : 0);
+  std::vector<CampaignOutcome> outcomes(streaming ? 0 : tasks.size());
+  std::size_t cells_done = 0;
+  SweepOptions options;
+  options.threads = threads;
+  options.batch_width = batch_width;
+  options.discard_results = true;
+  options.on_task_result = [&](std::size_t t, const SweepRun& run) {
+    CampaignOutcome outcome = outcome_of(run.result);
+    for (std::size_t p = first[t]; p != kEnd; p = next[p]) {
+      ++cells_done;
+      if (!streaming) continue;
+      CampaignRow unkept;
+      CampaignRow& row = keep_rows ? rows[p] : unkept;
+      row.fingerprint = fingerprints[p];
+      row.spec = specs[cells[p]];
+      row.outcome = outcome;
+      on_row(row);
+    }
+    if (!streaming) outcomes[t] = std::move(outcome);
+  };
+  if (on_cells_done)
+    options.on_task_done = [&](std::size_t, std::size_t) {
+      on_cells_done(cells_done, cells.size());
+    };
+  run_sweep_runs(tasks, options);
+
+  if (!streaming && keep_rows)
+    for (std::size_t t = 0; t < tasks.size(); ++t)
+      for (std::size_t p = first[t]; p != kEnd; p = next[p]) {
+        rows[p].fingerprint = fingerprints[p];
+        rows[p].spec = specs[cells[p]];
+        rows[p].outcome = outcomes[t];
+      }
+  return rows;
+}
+
+}  // namespace
+
 std::vector<CampaignRow> run_scenarios(
     const std::vector<ScenarioSpec>& specs, int threads,
     const std::function<void(std::size_t, std::size_t)>& on_task_done,
@@ -345,54 +424,28 @@ std::vector<CampaignRow> run_scenarios_streaming(
     const std::function<void(const CampaignRow&)>& on_row, bool keep_rows,
     const std::function<void(std::size_t, std::size_t)>& on_task_done,
     int batch_width) {
-  std::vector<ScenarioTask> tasks;
-  tasks.reserve(specs.size());
-  for (const ScenarioSpec& spec : specs) tasks.push_back(to_task(spec));
-
-  SweepOptions options;
-  options.threads = threads;
-  options.on_task_done = on_task_done;
-  options.batch_width = batch_width;
-
-  if (on_row || !keep_rows) {
-    // Streaming: build each row at task completion, hand it to the hook,
-    // and let the sweep discard the underlying RunResult immediately —
-    // peak memory is O(workers), not O(cells).
-    std::vector<CampaignRow> rows(keep_rows ? specs.size() : 0);
-    options.discard_results = true;
-    options.on_task_result = [&](std::size_t i, const SweepRun& run) {
-      CampaignRow row;
-      row.spec = specs[i];
-      row.fingerprint = fingerprint(specs[i]);
-      row.outcome = outcome_of(run.result);
-      if (on_row) on_row(row);
-      if (keep_rows) rows[i] = std::move(row);
-    };
-    run_sweep_runs(tasks, options);
-    return rows;
-  }
-
-  const std::vector<sim::RunResult> results = run_sweep(tasks, options);
-  std::vector<CampaignRow> rows(specs.size());
+  // Per spec, no behaviour sharing: every spec is its own representative.
+  std::vector<std::size_t> cells(specs.size());
+  std::vector<std::uint64_t> fingerprints(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    rows[i].spec = specs[i];
-    rows[i].fingerprint = fingerprint(specs[i]);
-    rows[i].outcome = outcome_of(results[i]);
+    cells[i] = i;
+    fingerprints[i] = fingerprint(specs[i]);
   }
-  return rows;
+  return run_cells(specs, cells, fingerprints, /*rep=*/cells, threads, on_row,
+                   keep_rows, on_task_done, batch_width);
 }
 
-std::vector<ScenarioSpec> shard_filter(const std::vector<ScenarioSpec>& specs,
-                                       int index, int count) {
+std::vector<std::size_t> shard_filter(
+    const std::vector<std::uint64_t>& fingerprints, int index, int count) {
   if (count < 1 || index < 0 || index >= count)
     throw std::invalid_argument("bad shard " + std::to_string(index) + "/" +
                                 std::to_string(count));
-  if (count == 1) return specs;
-  std::vector<ScenarioSpec> mine;
-  for (const ScenarioSpec& spec : specs)
-    if (fingerprint(spec) % static_cast<std::uint64_t>(count) ==
+  std::vector<std::size_t> mine;
+  mine.reserve(count == 1 ? fingerprints.size() : 0);
+  for (std::size_t i = 0; i < fingerprints.size(); ++i)
+    if (fingerprints[i] % static_cast<std::uint64_t>(count) ==
         static_cast<std::uint64_t>(index))
-      mine.push_back(spec);
+      mine.push_back(i);
   return mine;
 }
 
@@ -483,16 +536,20 @@ StoreRunResult run_with_store(
 CampaignReport run_campaign(const CampaignSpec& campaign,
                             const CampaignOptions& options) {
   const std::vector<ScenarioSpec> all = expand(campaign);
-  const std::vector<ScenarioSpec> mine =
-      shard_filter(all, options.shard_index, options.shard_count);
-
+  // The one fingerprint pass: sharding, resume and the rows all reuse it.
+  std::vector<std::uint64_t> all_fingerprints;
+  all_fingerprints.reserve(all.size());
+  for (const ScenarioSpec& spec : all)
+    all_fingerprints.push_back(fingerprint(spec));
+  const std::vector<std::size_t> mine =
+      shard_filter(all_fingerprints, options.shard_index, options.shard_count);
   std::vector<std::uint64_t> fingerprints;
   fingerprints.reserve(mine.size());
-  for (const ScenarioSpec& spec : mine) fingerprints.push_back(fingerprint(spec));
+  for (const std::size_t i : mine) fingerprints.push_back(all_fingerprints[i]);
 
-  // The heartbeat: rewrite the progress file after every completed cell
-  // (and once up front, so a supervisor sees life before the first cell
-  // lands).  The write is tiny and atomic enough for its one consumer —
+  // The heartbeat: rewrite the progress file, counted in cells, after
+  // every completed run (and once up front, so a supervisor sees life
+  // before the first cell lands).  The write is tiny and atomic enough for its one consumer —
   // dring_orchestrate only looks at the mtime and the "done total" pair.
   const auto beat = [&](std::size_t done, std::size_t total) {
     if (!options.progress_path.empty()) {
@@ -517,21 +574,34 @@ CampaignReport run_campaign(const CampaignSpec& campaign,
   if (options.stream)
     on_row = [&](const CampaignRow& row) { options.stream->add(row); };
 
+  std::size_t copied = 0;
   StoreRunResult result = run_with_store(
       fingerprints, options.out_path, options.resume,
       [&](const std::vector<std::size_t>& todo) {
-        std::vector<ScenarioSpec> specs;
-        specs.reserve(todo.size());
-        for (const std::size_t i : todo) specs.push_back(mine[i]);
-        if (!specs.empty()) beat(0, specs.size());
-        return run_scenarios_streaming(specs, options.threads, on_row,
-                                       keep_rows, beat, options.batch_width);
+        std::vector<std::size_t> cells;
+        std::vector<std::uint64_t> cell_fingerprints;
+        cells.reserve(todo.size());
+        cell_fingerprints.reserve(todo.size());
+        for (const std::size_t i : todo) {
+          cells.push_back(mine[i]);
+          cell_fingerprints.push_back(fingerprints[i]);
+        }
+        // Seed-free cells share one run: execute one representative per
+        // behaviour and copy its outcome into every cell with its key.
+        const std::vector<std::size_t> rep =
+            behaviour_representatives(all, cells);
+        for (std::size_t p = 0; p < rep.size(); ++p)
+          if (rep[p] != p) ++copied;
+        if (!cells.empty()) beat(0, cells.size());
+        return run_cells(all, cells, cell_fingerprints, rep, options.threads,
+                         on_row, keep_rows, beat, options.batch_width);
       });
 
   if (telem) {
     util::MetricsRegistry& m = telemetry().metrics();
     m.counter("campaign.cells_executed").add(
         static_cast<long long>(result.executed));
+    m.counter("campaign.cells_copied").add(static_cast<long long>(copied));
     m.counter("campaign.resume_hits").add(
         static_cast<long long>(result.skipped));
     const long long run_us = std::max(1LL, telemetry_now_us() - run_t0);

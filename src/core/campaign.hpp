@@ -194,8 +194,8 @@ struct CampaignOptions {
   /// stable under axis growth.  shard_count == 1 keeps everything.
   int shard_index = 0;
   int shard_count = 1;
-  /// When non-empty, a heartbeat file rewritten as "done total\n" before
-  /// the sweep starts and after every completed scenario.  Supervisors
+  /// When non-empty, a heartbeat file rewritten as "done total\n" (in
+  /// cells) before the sweep starts and after every completed run.  Supervisors
   /// (dring_orchestrate) watch its mtime for liveness: a worker that
   /// stops updating it is hung and gets killed + rescheduled.
   std::string progress_path;
@@ -226,13 +226,16 @@ struct CampaignReport {
   std::size_t total = 0;     ///< scenarios in the expanded grid
   std::size_t sharded_out = 0;  ///< assigned to other shards
   std::size_t skipped = 0;   ///< already present in the store (resume)
-  std::size_t executed = 0;  ///< run in this invocation
+  /// Cells produced in this invocation, whether simulated or copied from
+  /// a cell with the same behaviour key.
+  std::size_t executed = 0;
   std::vector<CampaignRow> rows;  ///< executed rows, in task order
   /// Torn-trailing-row recovery from the resume read (see StoreRunResult).
   StoreReadRecovery recovery;
 };
 
-/// Run the given scenarios on the pool; rows come back in spec order.
+/// Run the given scenarios on the pool, one run per spec (no behaviour
+/// sharing — the engine-measuring path); rows come back in spec order.
 /// `on_task_done` is forwarded to SweepOptions (heartbeats, fault hooks);
 /// `batch_width` > 0 routes eligible tasks through the batched engine
 /// (identical rows either way).
@@ -253,15 +256,19 @@ std::vector<CampaignRow> run_scenarios_streaming(
     const std::function<void(std::size_t, std::size_t)>& on_task_done = {},
     int batch_width = 0);
 
-/// The slice of `specs` assigned to shard `index` of `count` (fingerprint
-/// modulo count; relative order preserved). Throws std::invalid_argument
-/// on a bad shard geometry.
-std::vector<ScenarioSpec> shard_filter(const std::vector<ScenarioSpec>& specs,
-                                       int index, int count);
+/// Positions of the cells assigned to shard `index` of `count`, given
+/// each cell's fingerprint (fingerprint modulo count; ascending). Throws
+/// std::invalid_argument on a bad shard geometry.
+std::vector<std::size_t> shard_filter(
+    const std::vector<std::uint64_t>& fingerprints, int index, int count);
 
 /// Expand + shard-filter + (optionally) resume-filter + run + write the
 /// store.  A fresh run replaces the store file; a resume run rewrites it
 /// with the union of existing and new rows (both in canonical order).
+/// Cells that share a behaviour key (behaviour_representatives: all seeds
+/// of a seed-free cell, "null" at any T) run once and copy the outcome, so
+/// the rows, the store bytes and the streamed fold are exactly those of a
+/// per-cell run.  `executed` and the heartbeat still count cells.
 CampaignReport run_campaign(const CampaignSpec& campaign,
                             const CampaignOptions& options);
 

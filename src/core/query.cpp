@@ -23,8 +23,21 @@ ResultCache::ResultCache(ResultStore store) : store_(std::move(store)) {
   build_index();
 }
 
+ResultCache::ResultCache(ResultStore store,
+                         std::vector<std::filesystem::path> store_dirs)
+    : store_(std::move(store)), store_dirs_(std::move(store_dirs)) {
+  build_index();
+}
+
 ResultCache ResultCache::load(const std::vector<std::string>& paths) {
-  return ResultCache(load_result_stores(paths));
+  std::vector<std::filesystem::path> dirs;
+  for (const std::string& path : paths) {
+    std::error_code ec;
+    const std::filesystem::path resolved =
+        std::filesystem::weakly_canonical(path, ec);
+    if (!ec) dirs.push_back(resolved.parent_path());
+  }
+  return ResultCache(load_result_stores(paths), std::move(dirs));
 }
 
 void ResultCache::build_index() {
@@ -439,6 +452,21 @@ std::vector<std::string> string_list(const util::Json& request,
   return out;
 }
 
+/// Whether `path` resolves (symlinks followed) inside one of the
+/// directories the cache's stores were loaded from.
+bool inside_store_dirs(const ResultCache& cache, const std::string& path) {
+  std::error_code ec;
+  const std::filesystem::path resolved =
+      std::filesystem::weakly_canonical(path, ec);
+  if (ec) return false;
+  for (const std::filesystem::path& dir : cache.store_dirs()) {
+    const auto [d, r] =
+        std::mismatch(dir.begin(), dir.end(), resolved.begin(), resolved.end());
+    if (d == dir.end() && r != resolved.end()) return true;
+  }
+  return false;
+}
+
 std::string read_text_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open " + path);
@@ -489,7 +517,25 @@ util::Json dispatch(const ResultCache& cache, const util::Json& request,
     if (paths.empty())
       throw std::invalid_argument(
           "compare needs \"store\": path(s) to the B side");
-    const ResultStore b = load_result_stores(paths);
+    // The B side must sit next to the served stores: a query line must
+    // not be able to open (and quote) any file the server can read.
+    for (const std::string& path : paths)
+      if (!inside_store_dirs(cache, path))
+        throw std::invalid_argument(
+            "compare: " + path +
+            " is outside the served store directory (compare only opens "
+            "stores beside the served ones)");
+    ResultStore b;
+    try {
+      b = load_result_stores(paths);
+    } catch (const std::exception&) {
+      // Name the path, never the file's bytes.
+      std::string names;
+      for (const std::string& path : paths)
+        names += (names.empty() ? "" : ", ") + path;
+      throw std::invalid_argument("compare: cannot load " + names +
+                                  " as a result store of this build");
+    }
     PairedComparison cmp = paired_compare(cache.rows(), b.rows, metric);
     cmp.provenance_a = describe(cache.provenance());
     cmp.provenance_b = describe(b.provenance);

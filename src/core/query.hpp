@@ -40,6 +40,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <mutex>
 #include <string>
@@ -61,6 +62,13 @@ class ResultCache {
   /// Load + union stores from disk (load_result_stores semantics) and
   /// index the result.
   static ResultCache load(const std::vector<std::string>& paths);
+
+  /// The directories of the store files load() read, as canonical paths
+  /// (empty for a cache built from an in-memory store).  The compare op
+  /// opens only stores inside one of them.
+  const std::vector<std::filesystem::path>& store_dirs() const {
+    return store_dirs_;
+  }
 
   const StoreProvenance& provenance() const { return store_.provenance; }
   const std::vector<CampaignRow>& rows() const { return store_.rows; }
@@ -123,11 +131,13 @@ class ResultCache {
                       int shard_count = 1) const;
 
  private:
+  ResultCache(ResultStore store, std::vector<std::filesystem::path> store_dirs);
   void build_index();
   /// axis_column's body, for callers already holding lazy_mutex_.
   const std::vector<std::string>& column_locked(const std::string& axis) const;
 
   ResultStore store_;
+  std::vector<std::filesystem::path> store_dirs_;
   /// Open addressing on the fingerprint: slot holds row index + 1
   /// (0 = empty); capacity is a power of two >= 2x rows.
   std::vector<std::uint32_t> slots_;
@@ -223,7 +233,8 @@ util::Json missing_cell_manifest(const std::string& campaign_name,
 ///   frontier   {"op":"frontier","group_by":["t_interval"],"axis":"n",
 ///               "threshold":0.5,"format":"md"}
 ///   compare    {"op":"compare","store":["other.jsonl"],"metric":"rounds",
-///               "format":"md"}          (B side loaded from disk per query)
+///               "format":"md"}          (B side loaded from disk per query;
+///               only paths inside a served store's directory)
 ///   point      {"op":"point","fp":"0x..."} or {"op":"point","spec":{...}}
 ///   cells      {"op":"cells","spec_path":"campaign.json","shards":3}
 ///              (or "spec":{inline campaign}; optional group_by/metric/

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cstdio>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "adversary/basic_adversaries.hpp"
 #include "adversary/proof_adversaries.hpp"
@@ -90,86 +91,154 @@ ExplorationConfig build_config(const ScenarioSpec& spec) {
   return cfg;
 }
 
+namespace {
+
+using AdversaryPtr = std::unique_ptr<sim::Adversary>;
+using AdversaryFactory = std::function<AdversaryPtr()>;
+
+/// One adversary family: its spec name, whether its adversary reads the
+/// scenario seed, and how to build the factory.  `uses_seed` sits next to
+/// the builder on purpose — a family whose builder captures `seed` must
+/// say so, or campaigns would replay one run for every seed of its cells.
+struct AdversaryFamily {
+  const char* name;
+  bool uses_seed;
+  AdversaryFactory (*make)(const AdversarySpec& spec, std::uint64_t seed,
+                           NodeId n);
+};
+
+const AdversaryFamily kAdversaryFamilies[] = {
+    {"null", false,
+     [](const AdversarySpec&, std::uint64_t, NodeId) -> AdversaryFactory {
+       return []() -> AdversaryPtr {
+         return std::make_unique<sim::NullAdversary>();
+       };
+     }},
+    {"random", true,
+     [](const AdversarySpec& spec, std::uint64_t seed,
+        NodeId) -> AdversaryFactory {
+       const double rp = spec.remove_prob, ap = spec.activation_prob;
+       return [rp, ap, seed]() -> AdversaryPtr {
+         return std::make_unique<adversary::RandomAdversary>(rp, ap, seed);
+       };
+     }},
+    {"targeted-random", true,
+     [](const AdversarySpec& spec, std::uint64_t seed,
+        NodeId) -> AdversaryFactory {
+       const double tp = spec.target_prob, ap = spec.activation_prob;
+       return [tp, ap, seed]() -> AdversaryPtr {
+         return std::make_unique<adversary::TargetedRandomAdversary>(tp, ap,
+                                                                     seed);
+       };
+     }},
+    {"fixed-edge", false,
+     [](const AdversarySpec& spec, std::uint64_t, NodeId) -> AdversaryFactory {
+       const EdgeId e = spec.edge;
+       return [e]() -> AdversaryPtr {
+         return std::make_unique<adversary::FixedEdgeAdversary>(e);
+       };
+     }},
+    {"block-agent", false,
+     [](const AdversarySpec& spec, std::uint64_t, NodeId) -> AdversaryFactory {
+       const AgentId v = spec.victim;
+       return [v]() -> AdversaryPtr {
+         return std::make_unique<adversary::BlockAgentAdversary>(v);
+       };
+     }},
+    {"prevent-meeting", false,
+     [](const AdversarySpec&, std::uint64_t, NodeId) -> AdversaryFactory {
+       return []() -> AdversaryPtr {
+         return std::make_unique<adversary::PreventMeetingAdversary>();
+       };
+     }},
+    {"ns-first-mover", false,
+     [](const AdversarySpec&, std::uint64_t, NodeId) -> AdversaryFactory {
+       return []() -> AdversaryPtr {
+         return std::make_unique<adversary::NsFirstMoverAdversary>();
+       };
+     }},
+    {"rotation", false,
+     [](const AdversarySpec& spec, std::uint64_t, NodeId) -> AdversaryFactory {
+       const Round dwell = spec.dwell;
+       return [dwell]() -> AdversaryPtr {
+         return std::make_unique<adversary::RotationActivationAdversary>(
+             dwell);
+       };
+     }},
+    {"fig2", false,
+     [](const AdversarySpec& spec, std::uint64_t, NodeId n) -> AdversaryFactory {
+       if (n < 3)
+         throw std::invalid_argument(
+             "fig2 adversary needs the scenario's ring size");
+       const NodeId anchor = static_cast<NodeId>(spec.edge);
+       return [n, anchor]() -> AdversaryPtr {
+         return std::make_unique<adversary::ScriptedEdgeAdversary>(
+             adversary::make_fig2_script(n, anchor), "fig2");
+       };
+     }},
+    {"sliding-window", false,
+     [](const AdversarySpec&, std::uint64_t, NodeId) -> AdversaryFactory {
+       return []() -> AdversaryPtr {
+         return std::make_unique<adversary::SlidingWindowAdversary>(0, 1);
+       };
+     }},
+    {"head-on-pin", false,
+     [](const AdversarySpec&, std::uint64_t, NodeId) -> AdversaryFactory {
+       return []() -> AdversaryPtr {
+         return std::make_unique<adversary::HeadOnPinAdversary>(0, 1);
+       };
+     }},
+    {"segment-seal", false,
+     [](const AdversarySpec& spec, std::uint64_t, NodeId) -> AdversaryFactory {
+       const EdgeId ea = spec.edge, eb = spec.edge_b;
+       return [ea, eb]() -> AdversaryPtr {
+         return std::make_unique<adversary::SegmentSealAdversary>(ea, eb);
+       };
+     }},
+    {"edge-window", false,
+     [](const AdversarySpec& spec, std::uint64_t, NodeId) -> AdversaryFactory {
+       const EdgeId e = spec.edge;
+       const Round lo = spec.window_lo, hi = spec.window_hi;
+       return [e, lo, hi]() -> AdversaryPtr {
+         return std::make_unique<adversary::ScriptedEdgeAdversary>(
+             [e, lo, hi](Round r) -> std::optional<EdgeId> {
+               return (r >= lo && r <= hi) ? std::optional<EdgeId>(e)
+                                           : std::nullopt;
+             },
+             "edge-window");
+       };
+     }},
+};
+
+const AdversaryFamily* find_family(const std::string& name) {
+  for (const AdversaryFamily& family : kAdversaryFamilies)
+    if (name == family.name) return &family;
+  return nullptr;
+}
+
+}  // namespace
+
+std::vector<std::string> adversary_families() {
+  std::vector<std::string> names;
+  for (const AdversaryFamily& family : kAdversaryFamilies)
+    names.emplace_back(family.name);
+  return names;
+}
+
+bool adversary_uses_seed(const std::string& family) {
+  const AdversaryFamily* entry = find_family(family);
+  return !entry || entry->uses_seed;
+}
+
 std::function<std::unique_ptr<sim::Adversary>()> make_adversary_factory(
     const AdversarySpec& spec, std::uint64_t seed, NodeId n) {
-  using Ptr = std::unique_ptr<sim::Adversary>;
-  std::function<Ptr()> base;
-  if (spec.family == "null") {
-    base = [] { return std::make_unique<sim::NullAdversary>(); };
-  } else if (spec.family == "random") {
-    const double rp = spec.remove_prob, ap = spec.activation_prob;
-    base = [rp, ap, seed]() -> Ptr {
-      return std::make_unique<adversary::RandomAdversary>(rp, ap, seed);
-    };
-  } else if (spec.family == "targeted-random") {
-    const double tp = spec.target_prob, ap = spec.activation_prob;
-    base = [tp, ap, seed]() -> Ptr {
-      return std::make_unique<adversary::TargetedRandomAdversary>(tp, ap,
-                                                                  seed);
-    };
-  } else if (spec.family == "fixed-edge") {
-    const EdgeId e = spec.edge;
-    base = [e]() -> Ptr {
-      return std::make_unique<adversary::FixedEdgeAdversary>(e);
-    };
-  } else if (spec.family == "block-agent") {
-    const AgentId v = spec.victim;
-    base = [v]() -> Ptr {
-      return std::make_unique<adversary::BlockAgentAdversary>(v);
-    };
-  } else if (spec.family == "prevent-meeting") {
-    base = []() -> Ptr {
-      return std::make_unique<adversary::PreventMeetingAdversary>();
-    };
-  } else if (spec.family == "ns-first-mover") {
-    base = []() -> Ptr {
-      return std::make_unique<adversary::NsFirstMoverAdversary>();
-    };
-  } else if (spec.family == "rotation") {
-    const Round dwell = spec.dwell;
-    base = [dwell]() -> Ptr {
-      return std::make_unique<adversary::RotationActivationAdversary>(dwell);
-    };
-  } else if (spec.family == "fig2") {
-    if (n < 3)
-      throw std::invalid_argument(
-          "fig2 adversary needs the scenario's ring size");
-    const NodeId anchor = static_cast<NodeId>(spec.edge);
-    base = [n, anchor]() -> Ptr {
-      return std::make_unique<adversary::ScriptedEdgeAdversary>(
-          adversary::make_fig2_script(n, anchor), "fig2");
-    };
-  } else if (spec.family == "sliding-window") {
-    base = []() -> Ptr {
-      return std::make_unique<adversary::SlidingWindowAdversary>(0, 1);
-    };
-  } else if (spec.family == "head-on-pin") {
-    base = []() -> Ptr {
-      return std::make_unique<adversary::HeadOnPinAdversary>(0, 1);
-    };
-  } else if (spec.family == "segment-seal") {
-    const EdgeId ea = spec.edge, eb = spec.edge_b;
-    base = [ea, eb]() -> Ptr {
-      return std::make_unique<adversary::SegmentSealAdversary>(ea, eb);
-    };
-  } else if (spec.family == "edge-window") {
-    const EdgeId e = spec.edge;
-    const Round lo = spec.window_lo, hi = spec.window_hi;
-    base = [e, lo, hi]() -> Ptr {
-      return std::make_unique<adversary::ScriptedEdgeAdversary>(
-          [e, lo, hi](Round r) -> std::optional<EdgeId> {
-            return (r >= lo && r <= hi) ? std::optional<EdgeId>(e)
-                                        : std::nullopt;
-          },
-          "edge-window");
-    };
-  } else {
+  const AdversaryFamily* family = find_family(spec.family);
+  if (!family)
     throw std::invalid_argument("unknown adversary family: " + spec.family);
-  }
-
+  AdversaryFactory base = family->make(spec, seed, n);
   if (spec.t_interval <= 1) return base;
   const Round t = spec.t_interval;
-  return [t, base]() -> Ptr {
+  return [t, base]() -> AdversaryPtr {
     return std::make_unique<adversary::TIntervalAdversary>(t, base());
   };
 }
@@ -187,6 +256,46 @@ ScenarioTask to_task(const ScenarioSpec& spec) {
 
 std::uint64_t fingerprint(const ScenarioSpec& spec) {
   return util::fnv1a(to_json(spec).dump());
+}
+
+std::vector<std::size_t> behaviour_representatives(
+    const std::vector<ScenarioSpec>& specs,
+    const std::vector<std::size_t>& cells) {
+  // The key is the spec itself with the fields the run cannot read reset:
+  // plain struct equality, so a field added to ScenarioSpec later joins
+  // the key without anyone remembering to add it.  The hash covers only
+  // the fields that vary across a campaign grid; equality decides.
+  struct KeyHash {
+    std::size_t operator()(const ScenarioSpec& s) const {
+      std::uint64_t h = std::hash<std::string>{}(s.algorithm);
+      const auto mix = [&h](std::uint64_t v) {
+        h = (h ^ v) * 0x100000001b3ULL;
+      };
+      mix(static_cast<std::uint64_t>(s.n));
+      mix(static_cast<std::uint64_t>(s.num_agents));
+      mix(std::hash<std::string>{}(s.adversary.family));
+      mix(static_cast<std::uint64_t>(s.adversary.t_interval));
+      mix(s.seed);
+      mix(static_cast<std::uint64_t>(s.max_rounds));
+      return static_cast<std::size_t>(h);
+    }
+  };
+  std::unordered_map<ScenarioSpec, std::size_t, KeyHash> first;
+  first.reserve(cells.size());
+  std::vector<std::size_t> rep(cells.size());
+  ScenarioSpec key;  // reused: assignment keeps its string capacity
+  const algo::AlgorithmInfo* algorithm = nullptr;
+  for (std::size_t p = 0; p < cells.size(); ++p) {
+    key = specs[cells[p]];
+    if (!algorithm || algorithm->name != key.algorithm)
+      algorithm = &algo::info_by_name(key.algorithm);
+    if (!algorithm->uses_seed && !adversary_uses_seed(key.adversary.family))
+      key.seed = 0;
+    // The T-interval guard only filters removals, and "null" requests none.
+    if (key.adversary.family == "null") key.adversary.t_interval = 1;
+    rep[p] = first.try_emplace(key, p).first->second;
+  }
+  return rep;
 }
 
 // --- JSON ----------------------------------------------------------------------

@@ -63,6 +63,8 @@ struct AdversarySpec {
   Round window_lo = 0;           ///< "edge-window": first removal round
   Round window_hi = 0;           ///< "edge-window": last removal round
   Round t_interval = 1;          ///< wrap in TIntervalAdversary when > 1
+
+  friend bool operator==(const AdversarySpec&, const AdversarySpec&) = default;
 };
 
 /// One fully-determined scenario, as data.
@@ -118,6 +120,8 @@ struct ScenarioSpec {
   /// baselines, many-agent teams).  Participates in the fingerprint only;
   /// build_config ignores it.
   std::string variant;
+
+  friend bool operator==(const ScenarioSpec&, const ScenarioSpec&) = default;
 };
 
 /// A parameter grid over the scenario axes. Empty axis vectors mean "the
@@ -151,6 +155,27 @@ std::function<std::unique_ptr<sim::Adversary>()> make_adversary_factory(
 
 /// Full translation to a sweep task.
 ScenarioTask to_task(const ScenarioSpec& spec);
+
+/// The adversary family names make_adversary_factory accepts.
+std::vector<std::string> adversary_families();
+
+/// Whether the family's adversary reads the scenario seed ("random" and
+/// "targeted-random" do).  Unknown families count as seed-reading.
+bool adversary_uses_seed(const std::string& family);
+
+// --- behaviour ------------------------------------------------------------
+
+/// Group cells that replay one identical run.  A run reads its spec minus
+/// two fields: the seed, unless the algorithm (AlgorithmInfo::uses_seed)
+/// or the adversary family (adversary_uses_seed) reads it, and t_interval
+/// under the "null" family, which never removes an edge.  The rest of the
+/// spec is the cell's *behaviour key*.  For each position p of `cells`
+/// (indices into `specs`) the result holds the position of the first cell
+/// with p's key, so p is a representative iff result[p] == p.  Throws
+/// std::invalid_argument on an unknown algorithm name.
+std::vector<std::size_t> behaviour_representatives(
+    const std::vector<ScenarioSpec>& specs,
+    const std::vector<std::size_t>& cells);
 
 // --- identity -------------------------------------------------------------
 

@@ -3,18 +3,22 @@
 // campaign grid expansion (count, seed stability under grid growth),
 // thread-count invariance of the produced rows, the JSONL result store
 // (write -> read -> resume skips everything, schema versioning, canonical
-// order), sharded execution + store merge, the store diff, and the
-// crash-safety story (atomic writes, torn-tail recovery, diagnostics).
+// order), sharded execution + store merge, the store diff, the
+// crash-safety story (atomic writes, torn-tail recovery, diagnostics), and
+// behaviour sharing (seed flags, one run per behaviour key).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <unordered_set>
 
+#include "algo/registry.hpp"
 #include "core/campaign.hpp"
+#include "core/query.hpp"
 #include "core/scenario_spec.hpp"
 #include "util/json.hpp"
 
@@ -453,33 +457,41 @@ TEST(CampaignStore, CanonicalOrderIsTotalForDuplicateFingerprints) {
   EXPECT_EQ(row_lines(again), lines);
 }
 
+std::vector<std::uint64_t> fingerprints_of(
+    const std::vector<ScenarioSpec>& specs) {
+  std::vector<std::uint64_t> fps;
+  for (const ScenarioSpec& spec : specs) fps.push_back(fingerprint(spec));
+  return fps;
+}
+
 TEST(CampaignShard, PartitionsAreDisjointCoveringAndPositionIndependent) {
-  const std::vector<ScenarioSpec> all = expand(sample_campaign());
+  const std::vector<std::uint64_t> all = fingerprints_of(expand(sample_campaign()));
   const int m = 3;
   std::unordered_set<std::uint64_t> seen;
   std::size_t covered = 0;
   for (int i = 0; i < m; ++i) {
-    const std::vector<ScenarioSpec> shard = shard_filter(all, i, m);
+    const std::vector<std::size_t> shard = shard_filter(all, i, m);
     covered += shard.size();
-    for (const ScenarioSpec& spec : shard) {
-      EXPECT_TRUE(seen.insert(fingerprint(spec)).second)
-          << "cell on two shards";
+    EXPECT_TRUE(std::is_sorted(shard.begin(), shard.end()));
+    for (const std::size_t cell : shard) {
+      EXPECT_TRUE(seen.insert(all[cell]).second) << "cell on two shards";
     }
   }
   EXPECT_EQ(covered, all.size());
   EXPECT_EQ(shard_filter(all, 0, 1).size(), all.size());
-  EXPECT_THROW(shard_filter(all, 2, 2).size(), std::invalid_argument);
-  EXPECT_THROW(shard_filter(all, -1, 2).size(), std::invalid_argument);
+  EXPECT_THROW(shard_filter(all, 2, 2), std::invalid_argument);
+  EXPECT_THROW(shard_filter(all, -1, 2), std::invalid_argument);
 
   // Shard assignment follows cell identity, not grid position: growing an
   // axis never moves an existing cell to a different shard.
   CampaignSpec grown = sample_campaign();
   grown.sizes.push_back(11);
+  const std::vector<std::uint64_t> grown_fps = fingerprints_of(expand(grown));
   std::unordered_set<std::uint64_t> shard0;
-  for (const ScenarioSpec& spec : shard_filter(all, 0, m))
-    shard0.insert(fingerprint(spec));
-  for (const ScenarioSpec& spec : shard_filter(expand(grown), 0, m))
-    shard0.erase(fingerprint(spec));
+  for (const std::size_t cell : shard_filter(all, 0, m))
+    shard0.insert(all[cell]);
+  for (const std::size_t cell : shard_filter(grown_fps, 0, m))
+    shard0.erase(grown_fps[cell]);
   EXPECT_TRUE(shard0.empty()) << "a cell left its shard under axis growth";
 }
 
@@ -717,6 +729,192 @@ TEST(CampaignDiff, SeparatesPresenceFromPayloadChanges) {
   EXPECT_EQ(presence.only_a.size(), 1u);
   EXPECT_TRUE(presence.only_b.empty());
   EXPECT_TRUE(presence.changed.empty());
+}
+
+// --- one run per behaviour -------------------------------------------------
+
+/// Pins every seed flag against the runs themselves: for each registry
+/// algorithm and adversary family, two seeds of a seed-free pair replay one
+/// identical run, and every seed-reading family shows a seed dependence
+/// somewhere.  A "null" cell also replays the same run at T = 4.
+TEST(BehaviourKey, SeedFlagsMatchWhatTheRunsRead) {
+  struct Case {
+    std::size_t first;  ///< index of the seed-A spec; seed B and T=4 follow
+    bool seed_free;
+    bool null_family;
+  };
+  std::vector<ScenarioSpec> specs;
+  std::vector<Case> cases;
+  for (const algo::AlgorithmInfo& info : algo::all_algorithms()) {
+    for (const std::string& family : adversary_families()) {
+      for (const NodeId n : {5, 6}) {
+        for (const int agents : {0, 4}) {
+          ScenarioSpec spec;
+          spec.algorithm = info.name;
+          spec.n = n;
+          spec.num_agents = agents;
+          spec.adversary.family = family;
+          spec.max_rounds = 1200;
+          try {
+            to_task(spec);
+          } catch (const std::invalid_argument&) {
+            continue;  // not a valid combination
+          }
+          cases.push_back({specs.size(),
+                           !info.uses_seed && !adversary_uses_seed(family),
+                           family == "null"});
+          spec.seed = 11;
+          specs.push_back(spec);
+          spec.seed = 12;
+          specs.push_back(spec);
+          spec.adversary.t_interval = 4;
+          specs.push_back(spec);
+        }
+      }
+    }
+  }
+  ASSERT_GT(cases.size(), algo::all_algorithms().size() * 10);
+
+  const std::vector<CampaignRow> rows = run_scenarios(specs, 2);
+  std::set<std::string> seed_dependent;
+  for (const Case& c : cases) {
+    const CampaignRow& a = rows[c.first];
+    const CampaignRow& b = rows[c.first + 1];
+    if (c.seed_free) {
+      EXPECT_EQ(a.outcome, b.outcome)
+          << "seed-free cell depends on its seed: " << to_json(a.spec).dump();
+    } else if (!(a.outcome == b.outcome)) {
+      seed_dependent.insert(a.spec.adversary.family);
+    }
+    if (c.null_family) {
+      EXPECT_EQ(a.outcome, rows[c.first + 2].outcome)
+          << "null cell depends on t_interval: " << to_json(a.spec).dump();
+    }
+  }
+  for (const std::string& family : adversary_families()) {
+    if (adversary_uses_seed(family)) {
+      EXPECT_TRUE(seed_dependent.count(family))
+          << family << " claims to read the seed but never depends on it";
+    }
+  }
+  EXPECT_TRUE(adversary_uses_seed("no-such-family"));
+}
+
+TEST(BehaviourKey, RepresentativesGroupSeedsAndNullIntervals) {
+  CampaignSpec campaign;
+  campaign.algorithms = {"KnownNNoChirality"};
+  campaign.sizes = {6};
+  AdversarySpec null_adv, random;
+  random.family = "random";
+  campaign.adversaries = {null_adv, random};
+  campaign.t_intervals = {1, 4};
+  campaign.seeds_per_cell = 3;
+  const std::vector<ScenarioSpec> specs = expand(campaign);
+  std::vector<std::size_t> cells(specs.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) cells[i] = i;
+  const std::vector<std::size_t> rep = behaviour_representatives(specs, cells);
+  // null: T=1 and T=4, three seeds each, are one behaviour; random: each
+  // (T, seed) pair is its own.
+  std::size_t distinct = 0;
+  for (std::size_t p = 0; p < rep.size(); ++p) {
+    EXPECT_LE(rep[p], p);
+    EXPECT_EQ(rep[rep[p]], rep[p]);
+    if (rep[p] == p) ++distinct;
+    if (specs[p].adversary.family == "null") {
+      EXPECT_EQ(rep[p], 0u);
+    } else {
+      EXPECT_EQ(rep[p], p);
+    }
+  }
+  EXPECT_EQ(distinct, 1u + 6u);
+  ScenarioSpec unknown;
+  unknown.algorithm = "NoSuchAlgo";
+  EXPECT_THROW(behaviour_representatives({unknown}, {0}),
+               std::invalid_argument);
+}
+
+/// null at two T values, a proof adversary and a seeded family in one grid.
+CampaignSpec mixed_behaviour_campaign() {
+  CampaignSpec campaign;
+  campaign.name = "mixed_behaviour";
+  campaign.algorithms = {"KnownNNoChirality", "PTBoundWithChirality"};
+  campaign.sizes = {5, 6};
+  AdversarySpec null_adv, block, random;
+  block.family = "block-agent";
+  random.family = "random";
+  random.remove_prob = 0.4;
+  campaign.adversaries = {null_adv, block, random};
+  campaign.t_intervals = {1, 4};
+  campaign.seeds_per_cell = 3;
+  campaign.salt = 0x5ca1e;
+  campaign.max_rounds = 2000;
+  return campaign;
+}
+
+TEST(BehaviourCampaign, SharedRunsWriteThePerCellStore) {
+  const CampaignSpec campaign = mixed_behaviour_campaign();
+  const std::vector<ScenarioSpec> specs = expand(campaign);
+  const std::vector<CampaignRow> per_cell = run_scenarios(specs, 2);
+  const std::string dir = testing::TempDir();
+  const std::string reference = dir + "behaviour_reference.jsonl";
+  write_result_store(reference, per_cell);
+  const std::string expected = slurp(reference);
+
+  std::vector<std::size_t> cells(specs.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) cells[i] = i;
+  const std::vector<std::size_t> rep = behaviour_representatives(specs, cells);
+  const auto distinct = std::count_if(
+      cells.begin(), cells.end(), [&](std::size_t p) { return rep[p] == p; });
+  // null: 2 algorithms x 2 sizes; block-agent: x 2 T; random: x 2 T x 3.
+  EXPECT_EQ(distinct, 4 + 8 + 24);
+
+  // Fresh, scalar and batched (a width that divides nothing).
+  for (const int batch : {0, 7}) {
+    const std::string path = dir + "behaviour_store.jsonl";
+    CampaignOptions options;
+    options.threads = 2;
+    options.batch_width = batch;
+    options.out_path = path;
+    const CampaignReport report = run_campaign(campaign, options);
+    EXPECT_EQ(report.executed, specs.size()) << "executed counts cells";
+    EXPECT_EQ(row_lines(report.rows), row_lines(per_cell)) << "batch " << batch;
+    EXPECT_EQ(slurp(path), expected) << "batch " << batch;
+    std::remove(path.c_str());
+  }
+
+  // --stream-aggregate without a store: one fold per cell, the same
+  // aggregate as folding the per-cell rows.
+  StreamingAggregator reference_fold({"algorithm", "adversary", "t_interval"},
+                                     Metric::Rounds);
+  for (const CampaignRow& row : per_cell) reference_fold.add(row);
+  StreamingAggregator streamed({"algorithm", "adversary", "t_interval"},
+                               Metric::Rounds);
+  CampaignOptions stream_options;
+  stream_options.threads = 2;
+  stream_options.stream = &streamed;
+  const CampaignReport streamed_report = run_campaign(campaign, stream_options);
+  EXPECT_TRUE(streamed_report.rows.empty());
+  EXPECT_EQ(streamed.rows_folded(), static_cast<long long>(specs.size()));
+  EXPECT_EQ(streamed.render(ReportFormat::Markdown),
+            reference_fold.render(ReportFormat::Markdown));
+
+  // --resume from a half-written store: the missing half runs (copies
+  // included) and the rewrite is the per-cell store.
+  const std::string half = dir + "behaviour_half.jsonl";
+  write_result_store(half, std::vector<CampaignRow>(
+                               per_cell.begin(),
+                               per_cell.begin() + per_cell.size() / 2));
+  CampaignOptions resume;
+  resume.threads = 2;
+  resume.out_path = half;
+  resume.resume = true;
+  const CampaignReport resumed = run_campaign(campaign, resume);
+  EXPECT_EQ(resumed.skipped, per_cell.size() / 2);
+  EXPECT_EQ(resumed.executed, specs.size() - per_cell.size() / 2);
+  EXPECT_EQ(slurp(half), expected);
+
+  std::remove(half.c_str());
+  std::remove(reference.c_str());
 }
 
 }  // namespace

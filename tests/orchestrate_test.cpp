@@ -153,7 +153,9 @@ TEST(Subprocess, ExitCodeEnvAndRedirect) {
 
 TEST(Subprocess, KillHardReportsSignalDeath) {
   util::SpawnSpec spec;
-  spec.argv = {"/bin/sh", "-c", "sleep 30"};
+  // `exec`: the shell becomes the sleep, so the kill leaves no orphaned
+  // grandchild holding the test's output pipe open for 30 s.
+  spec.argv = {"/bin/sh", "-c", "exec sleep 30"};
   util::Subprocess child = util::Subprocess::spawn(spec);
   EXPECT_TRUE(child.running());
   child.kill_hard();

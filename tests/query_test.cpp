@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <random>
 #include <sstream>
@@ -402,6 +403,57 @@ TEST(QueryProtocol, ErrorsComeBackAsResponsesNeverExceptions) {
   EXPECT_FALSE(handle_query_line(cache, "not json").get_bool("ok", true));
   EXPECT_FALSE(handle_query_line(cache, "{\"op\":\"frontier\"}")
                    .get_bool("ok", true));  // missing axis
+}
+
+TEST(QueryProtocol, CompareOpensOnlyStoresBesideTheServedOnes) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(testing::TempDir()) / "query_compare";
+  const fs::path outside = fs::path(testing::TempDir()) / "query_outside";
+  fs::create_directories(dir);
+  fs::create_directories(outside);
+  const std::string served = (dir / "a.jsonl").string();
+  const std::string sibling = (dir / "b.jsonl").string();
+  const std::string junk = (dir / "notes.txt").string();
+  write_result_store(served, executed_rows());
+  write_result_store(sibling, executed_rows());
+  write_result_store((outside / "c.jsonl").string(), executed_rows());
+  std::ofstream(junk) << "private-first-line\n";
+  const ResultCache cache = ResultCache::load({served});
+  const auto compare = [&](const std::string& path,
+                           const ResultCache& over) {
+    util::Json request;
+    request.set("op", "compare");
+    request.set("store", path);
+    return handle_query(over, request);
+  };
+
+  const util::Json ok = compare(sibling, cache);
+  EXPECT_TRUE(ok.get_bool("ok", false)) << ok.dump();
+  EXPECT_EQ(ok.get_int("common", 0),
+            static_cast<long long>(executed_rows().size()));
+
+  // Outside the served directory, directly or through "..": refused
+  // before anything is opened.
+  for (const std::string& path :
+       {(outside / "c.jsonl").string(),
+        (dir / ".." / "query_outside" / "c.jsonl").string()}) {
+    const util::Json refused = compare(path, cache);
+    EXPECT_FALSE(refused.get_bool("ok", true)) << path;
+    EXPECT_NE(refused.get_string("error", "").find("outside"),
+              std::string::npos);
+  }
+
+  // Beside it but not a store: the error names the path, not the bytes.
+  const util::Json bad = compare(junk, cache);
+  EXPECT_FALSE(bad.get_bool("ok", true));
+  EXPECT_NE(bad.get_string("error", "").find(junk), std::string::npos);
+  EXPECT_EQ(bad.dump().find("private-first-line"), std::string::npos);
+  EXPECT_EQ(bad.dump().find("result store line"), std::string::npos);
+
+  // A cache built in memory serves no directory, so compare opens nothing.
+  EXPECT_FALSE(compare(sibling, make_cache()).get_bool("ok", true));
+  fs::remove_all(dir);
+  fs::remove_all(outside);
 }
 
 }  // namespace

@@ -58,8 +58,9 @@ util::FlagTable flag_table() {
                           "(0 = scalar engine; store bytes are identical "
                           "either way)")
       .flag("resume", "", "run only scenarios missing from the store")
-      .flag("dry-run", "", "print the shard's scenario list, fingerprint "
-                           "range and store path; run nothing")
+      .flag("dry-run", "", "print the shard's scenario list, its count of "
+                           "distinct behaviours, fingerprint range and "
+                           "store path; run nothing")
       .flag("shard", "i/m", "run only cells with fingerprint % m == i")
       .flag("progress", "FILE", "heartbeat file rewritten as \"done total\" "
                                 "after every cell (liveness for "
@@ -333,11 +334,25 @@ int main(int argc, char** argv) {
   }
 
   if (cli.get_bool("dry-run", false)) {
-    const auto specs = core::shard_filter(core::expand(campaign),
-                                          options.shard_index,
-                                          options.shard_count);
-    std::cout << "campaign '" << campaign.name << "': " << specs.size()
-              << " scenarios";
+    const std::vector<core::ScenarioSpec> all = core::expand(campaign);
+    std::vector<std::uint64_t> fingerprints;
+    fingerprints.reserve(all.size());
+    for (const auto& spec : all) fingerprints.push_back(core::fingerprint(spec));
+    std::vector<std::size_t> cells;
+    std::vector<std::size_t> rep;
+    try {
+      cells = core::shard_filter(fingerprints, options.shard_index,
+                                 options.shard_count);
+      rep = core::behaviour_representatives(all, cells);
+    } catch (const std::exception& e) {
+      std::cerr << "dry run failed: " << e.what() << "\n";
+      return 1;
+    }
+    std::size_t distinct = 0;
+    for (std::size_t p = 0; p < rep.size(); ++p)
+      if (rep[p] == p) ++distinct;
+    std::cout << "campaign '" << campaign.name << "': " << cells.size()
+              << " scenarios, " << distinct << " distinct behaviours";
     if (options.shard_count > 1)
       std::cout << " on shard " << options.shard_index << "/"
                 << options.shard_count;
@@ -345,13 +360,12 @@ int main(int argc, char** argv) {
     // Enough context to sanity-check a sharded cross-machine dispatch
     // before burning core hours: which fingerprints land here, and where
     // the rows would go.
-    if (!specs.empty()) {
-      std::uint64_t lo = core::fingerprint(specs.front());
+    if (!cells.empty()) {
+      std::uint64_t lo = fingerprints[cells.front()];
       std::uint64_t hi = lo;
-      for (const auto& spec : specs) {
-        const std::uint64_t fp = core::fingerprint(spec);
-        lo = std::min(lo, fp);
-        hi = std::max(hi, fp);
+      for (const std::size_t i : cells) {
+        lo = std::min(lo, fingerprints[i]);
+        hi = std::max(hi, fingerprints[i]);
       }
       std::cout << "  fingerprints: " << core::hex_u64(lo) << " .. "
                 << core::hex_u64(hi) << " (mod " << options.shard_count
@@ -361,8 +375,8 @@ int main(int argc, char** argv) {
               << (options.out_path.empty() ? "(none)" : options.out_path)
               << (options.resume ? " (resume: run only missing rows)" : "")
               << "\n";
-    for (const auto& spec : specs)
-      std::cout << core::to_json(spec).dump() << "\n";
+    for (const std::size_t i : cells)
+      std::cout << core::to_json(all[i]).dump() << "\n";
     return 0;
   }
 
